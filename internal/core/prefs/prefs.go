@@ -297,6 +297,9 @@ func (s *Store) RecordSimultaneous(c Client, i, j, winner Item) error {
 	if !ok {
 		return fmt.Errorf("prefs: unknown item %d", j)
 	}
+	if ii == jj {
+		return fmt.Errorf("prefs: pair (%d, %d) is degenerate", i, j)
+	}
 	if winner != i && winner != j {
 		return fmt.Errorf("prefs: winner %d not in pair (%d, %d)", winner, i, j)
 	}
@@ -440,86 +443,4 @@ func (cp *ClientPrefs) Best(enabled []Item, annRank []Item) (Item, bool) {
 func (cp *ClientPrefs) HasTotalOrder(announce []Item) bool {
 	_, ok := cp.TotalOrder(announce)
 	return ok
-}
-
-// FracWithTotalOrder returns the fraction of recorded clients having a total
-// order over the given announcement order.
-func (s *Store) FracWithTotalOrder(announce []Item) float64 {
-	if len(s.keys) == 0 {
-		return 0
-	}
-	n := 0
-	for i := range s.keys {
-		if s.views[i].HasTotalOrder(announce) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.keys))
-}
-
-// BestAnnouncementOrder searches announcement orders of the items and returns
-// the one maximizing the fraction of clients with a total order (§4.5 step 3:
-// "the announcement order that maximizes the number of client networks with a
-// consistent total order"). For ≤ maxExhaustive items every permutation is
-// tried; beyond that a greedy insertion heuristic is used.
-func (s *Store) BestAnnouncementOrder(maxExhaustive int) ([]Item, float64) {
-	items := s.Items()
-	if len(items) <= 1 {
-		return items, s.FracWithTotalOrder(items)
-	}
-	if len(items) <= maxExhaustive {
-		bestFrac := -1.0
-		var best []Item
-		permute(items, func(p []Item) {
-			if f := s.FracWithTotalOrder(p); f > bestFrac {
-				bestFrac = f
-				best = append([]Item(nil), p...)
-			}
-		})
-		return best, bestFrac
-	}
-	// Greedy insertion: grow the order one item at a time, placing each new
-	// item at the position that keeps the most clients consistent.
-	order := []Item{items[0]}
-	for _, it := range items[1:] {
-		bestFrac := -1.0
-		bestPos := 0
-		for pos := 0; pos <= len(order); pos++ {
-			trial := make([]Item, 0, len(order)+1)
-			trial = append(trial, order[:pos]...)
-			trial = append(trial, it)
-			trial = append(trial, order[pos:]...)
-			if f := s.FracWithTotalOrder(trial); f > bestFrac {
-				bestFrac = f
-				bestPos = pos
-			}
-		}
-		next := make([]Item, 0, len(order)+1)
-		next = append(next, order[:bestPos]...)
-		next = append(next, it)
-		next = append(next, order[bestPos:]...)
-		order = next
-	}
-	return order, s.FracWithTotalOrder(order)
-}
-
-// permute calls fn for every permutation of items (Heap's algorithm).
-func permute(items []Item, fn func([]Item)) {
-	p := append([]Item(nil), items...)
-	var rec func(k int)
-	rec = func(k int) {
-		if k == 1 {
-			fn(p)
-			return
-		}
-		for i := 0; i < k; i++ {
-			rec(k - 1)
-			if k%2 == 0 {
-				p[i], p[k-1] = p[k-1], p[i]
-			} else {
-				p[0], p[k-1] = p[k-1], p[0]
-			}
-		}
-	}
-	rec(len(p))
 }

@@ -76,6 +76,12 @@ func TestRecordValidation(t *testing.T) {
 	if err := s.RecordSimultaneous(1, 1, 9, 1); err == nil {
 		t.Error("unknown item accepted (simultaneous)")
 	}
+	if err := s.RecordSimultaneous(1, 2, 2, 2); err == nil {
+		t.Error("degenerate pair accepted (simultaneous)")
+	}
+	if s.NumClients() != 0 {
+		t.Errorf("rejected records left %d client rows", s.NumClients())
+	}
 }
 
 // fillStrict records a full strict order for client c: items earlier in

@@ -33,6 +33,7 @@ import (
 	"strconv"
 	"time"
 
+	"anyopt/internal/lazyrand"
 	"anyopt/internal/topology"
 )
 
@@ -200,7 +201,9 @@ type Flap struct {
 // unconditionally.
 //
 // Each fault class draws from its own seeded stream, so e.g. probe-loss draws
-// never shift BGP-drop draws when code between them changes.
+// never shift BGP-drop draws when code between them changes. The streams are
+// lazyrand sources: math/rand's draws for the same seeds, but built and
+// reseeded in O(1).
 type Injector struct {
 	cfg     *Config
 	nonce   uint64
@@ -250,10 +253,10 @@ func (c *Config) Injector(nonce uint64, attempt int, tr *Trace) *Injector {
 		nonce:   nonce,
 		attempt: attempt,
 		trace:   tr,
-		update:  rand.New(rand.NewSource(mix(c.Seed, nonce, attempt, saltUpdate))),
-		probe:   rand.New(rand.NewSource(mix(c.Seed, nonce, attempt, saltProbe))),
-		plan:    rand.New(rand.NewSource(mix(c.Seed, nonce, attempt, saltPlan))),
-		session: rand.New(rand.NewSource(mix(c.Seed, nonce, attempt, saltSession))),
+		update:  rand.New(lazyrand.New(mix(c.Seed, nonce, attempt, saltUpdate))),
+		probe:   rand.New(lazyrand.New(mix(c.Seed, nonce, attempt, saltProbe))),
+		plan:    rand.New(lazyrand.New(mix(c.Seed, nonce, attempt, saltPlan))),
+		session: rand.New(lazyrand.New(mix(c.Seed, nonce, attempt, saltSession))),
 	}
 	if len(c.BlackoutSites) > 0 {
 		inj.blackout = make(map[int]bool, len(c.BlackoutSites))

@@ -45,6 +45,7 @@ var DefaultPackages = []string{
 	"./internal/core/discovery",
 	"./internal/core/splpo",
 	"./internal/reconcile",
+	"./internal/lazyrand",
 }
 
 // Site identifies one class of heap escape: a message the compiler emits for

@@ -179,6 +179,7 @@ func TestPolicyResolution(t *testing.T) {
 		{"anyopt/internal/core/prefs", simPure},
 		{"anyopt/internal/core/splpo", sim},
 		{"anyopt/internal/probe", sim},
+		{"anyopt/internal/lazyrand", sim},
 		{"anyopt/internal/fault", sim},
 		{"anyopt/internal/exec", goOwner},
 		{"anyopt/internal/orchestrator", goOwner},

@@ -85,6 +85,11 @@ var DefaultPolicies = []PolicyRule{
 	{"anyopt/internal/core/splpo", sim},
 	{"anyopt/internal/probe", sim},
 
+	// The O(1)-reseed math/rand source behind probe noise and the fault
+	// streams: it holds no seed of its own (callers pass one), but it reads
+	// rand.NewSource(1) once at init to recover math/rand's seeding table.
+	{"anyopt/internal/lazyrand", sim},
+
 	// The churn reconciler computes cones and patches snapshots — pure
 	// derivation from topology state and measurement results. Its entropy
 	// budget is zero (churn planning entropy lives in internal/fault) and its

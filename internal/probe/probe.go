@@ -25,6 +25,7 @@ import (
 	"sort"
 	"time"
 
+	"anyopt/internal/lazyrand"
 	"anyopt/internal/netproto"
 )
 
@@ -327,7 +328,7 @@ type NoiseModel struct {
 // a noise-free channel.
 func NewNoiseModel(seed int64, jitterFrac, spikeProb float64, spikeMax time.Duration, lossProb float64) *NoiseModel {
 	return &NoiseModel{
-		rng:        rand.New(rand.NewSource(seed)),
+		rng:        rand.New(lazyrand.New(seed)),
 		seed:       seed,
 		JitterFrac: jitterFrac,
 		SpikeProb:  spikeProb,
@@ -349,7 +350,9 @@ func splitmix64(z uint64) uint64 {
 // model's base seed and the given target identity. Draws for one target are
 // then independent of which (or how many) other targets were probed before
 // it — the property that lets a cone-scoped repair campaign skip targets and
-// still reproduce the full campaign's measurements byte-for-byte.
+// still reproduce the full campaign's measurements byte-for-byte. The stream
+// is a lazyrand source, so the rewind is O(1) while the draws stay exactly
+// math/rand's for the derived seed.
 func (n *NoiseModel) BeginTarget(id uint64) {
 	if n == nil {
 		return

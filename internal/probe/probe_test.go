@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -214,6 +216,63 @@ func TestNoiseModelProperties(t *testing.T) {
 	var nilModel *NoiseModel
 	if d, ok := nilModel.Apply(base); !ok || d != base {
 		t.Error("nil noise model altered the packet")
+	}
+}
+
+// noiseTrace records n's output for one target: BeginTarget(id), then a run
+// of Apply calls.
+func noiseTrace(n *NoiseModel, id uint64) []time.Duration {
+	n.BeginTarget(id)
+	out := make([]time.Duration, 40)
+	for i := range out {
+		d, ok := n.Apply(50 * time.Millisecond)
+		if !ok {
+			d = -1
+		}
+		out[i] = d
+	}
+	return out
+}
+
+// TestNoiseBeginTargetMatchesMathRand pins the per-target noise stream to the
+// math/rand generator seeded with splitmix64(seed ^ id) >> 1, the derivation
+// every recorded campaign used, and checks that a target's draws do not
+// depend on which targets were probed before it.
+func TestNoiseBeginTargetMatchesMathRand(t *testing.T) {
+	const seed = 7
+	ids := []uint64{0, 1, 3356, 1 << 40, 64512}
+	fresh := DefaultNoise(seed)
+	for _, id := range ids {
+		ref := DefaultNoise(seed)
+		ref.rng = rand.New(rand.NewSource(int64(splitmix64(uint64(seed)^id) >> 1)))
+		want := make([]time.Duration, 40)
+		for i := range want {
+			d, ok := ref.Apply(50 * time.Millisecond)
+			if !ok {
+				d = -1
+			}
+			want[i] = d
+		}
+		if got := noiseTrace(fresh, id); !slices.Equal(got, want) {
+			t.Fatalf("target %d: noise %v, math/rand reference %v", id, got, want)
+		}
+		if got := noiseTrace(DefaultNoise(seed), id); !slices.Equal(got, want) {
+			t.Fatalf("target %d: noise depends on earlier targets", id)
+		}
+	}
+}
+
+// BenchmarkNoiseBeginTarget measures the noise model's per-target cost: the
+// rewind plus four packet traversals (a dozen draws), roughly what one probed
+// target consumes.
+func BenchmarkNoiseBeginTarget(b *testing.B) {
+	n := DefaultNoise(7)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n.BeginTarget(uint64(i))
+		for k := 0; k < 4; k++ {
+			n.Apply(50 * time.Millisecond)
+		}
 	}
 }
 
