@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json escape-baseline fmt race invariants chaos chaos-churn bench bench-json bench-guard splpo-bench loadbench check
+.PHONY: build test vet lint lint-json escape-baseline fmt race invariants chaos chaos-churn fuzz-smoke bench bench-json bench-guard splpo-bench loadbench check
 
 build:
 	$(GO) build ./...
@@ -52,8 +52,7 @@ invariants:
 chaos:
 	$(GO) test -run 'Chaos|FaultsDisabled|Checkpoint|SaveLoadQuarantine|Pooled' \
 		./internal/core/discovery/ ./internal/campaign/
-	$(GO) test -race -run 'ForEachCtx|Retry|RunTimeout|Flush|SessionReset' \
-		./internal/exec/ ./internal/orchestrator/
+	$(GO) test -race -run 'ForEachCtx|Retry|RunTimeout' ./internal/exec/
 
 # chaos-churn runs the churn-reconciliation suite under the race detector:
 # the differential convergence test (a healed churned campaign must be
@@ -64,6 +63,12 @@ chaos:
 chaos-churn:
 	$(GO) test -race -run 'Churn|Cone|Stale|Health|Repair|Reconcile' \
 		./internal/reconcile/ ./internal/api/
+
+# fuzz-smoke fuzzes the live packet parsers (IPv4, GRE, ICMP echo, and the
+# dissector) for 10 seconds from a corpus of real prober packets: no input
+# may panic, and every accepted packet must re-marshal to a fixed point.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzNetprotoDecode$$' -fuzztime 10s -parallel 2 ./internal/netproto/
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
@@ -98,9 +103,9 @@ bench-json:
 bench-guard:
 	$(GO) run ./cmd/benchjson -guard BENCH_10.json
 
-# splpo-bench runs just the solver head-to-heads (exhaustive vs the old
-# bitmask LocalSearch vs the anytime solver, plus the delta-vs-full move
-# cost and warm-vs-cold reoptimization) with human-readable output.
+# splpo-bench runs just the solver head-to-heads (exhaustive vs the anytime
+# solver, plus the delta-vs-full move cost and warm-vs-cold reoptimization)
+# with human-readable output.
 splpo-bench:
 	$(GO) test -run xxx -bench 'BenchmarkSolver15|BenchmarkFeasible500|BenchmarkAnytime|BenchmarkFullEval500|BenchmarkDeltaMove500|BenchmarkWarmVsCold500' \
 		-benchmem -benchtime 1x ./internal/core/splpo/
@@ -113,6 +118,7 @@ loadbench:
 	@cat LOADBENCH_6.json
 
 # check is the CI gate: formatting, static analysis, the full suite, the
-# race pass, the invariant-audited BGP suite, the chaos suites, and the
-# benchmark regression guard over the checked-in BENCH document.
-check: fmt vet lint test race invariants chaos chaos-churn bench-guard
+# race pass, the invariant-audited BGP suite, the chaos suites, the parser
+# fuzz smoke, and the benchmark regression guard over the checked-in BENCH
+# document.
+check: fmt vet lint test race invariants chaos chaos-churn fuzz-smoke bench-guard

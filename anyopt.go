@@ -101,15 +101,6 @@ type System struct {
 	TB   *testbed.Testbed
 	Disc *discovery.Discovery
 
-	// Pred and RTT are populated by RunDiscovery. They mirror the current
-	// Snapshot for single-threaded callers (CLIs, experiments); concurrent
-	// readers must go through CurrentSnapshot instead.
-	Pred *predict.Predictor
-	RTT  *discovery.RTTTable
-	// AnnOrder is the provider announcement order that maximizes clients
-	// with total orders (§4.5 step 3), chosen during RunDiscovery.
-	AnnOrder []prefs.Item
-
 	opts Options
 
 	// snap is the atomically-published campaign snapshot; gen numbers
@@ -123,7 +114,7 @@ type System struct {
 // announcement order, frozen at publication time together with the
 // campaign's accounting.
 //
-// A Snapshot is never mutated after InstallCampaign publishes it, and every
+// A Snapshot is never mutated after PatchCampaign publishes it, and every
 // structure it references (Predictor, preference stores, RTT table) is
 // read-only after construction, so any number of goroutines may predict and
 // optimize against the same Snapshot with no locking. Campaign re-discovery
@@ -196,38 +187,25 @@ func (s *System) RunDiscovery() error {
 	return nil
 }
 
-// InstallCampaign publishes campaign results as a fresh immutable Snapshot
-// and mirrors them into the System's legacy fields. It is the single write
-// point for campaign state: RunDiscovery, campaign import, and the API's
-// async discovery jobs all end here. Concurrent readers observe either the
-// previous snapshot or the new one, never a mix.
+// InstallCampaign publishes a full campaign's results as a fresh immutable
+// Snapshot with every row current. RunDiscovery, campaign import, and the
+// API's async discovery jobs all end here; it is PatchCampaign with no stale
+// rows.
+func (s *System) InstallCampaign(pred *predict.Predictor, rtt *discovery.RTTTable, annOrder []prefs.Item, experiments int, quarantined map[int]string) *Snapshot {
+	return s.PatchCampaign(pred, rtt, annOrder, experiments, quarantined, nil)
+}
+
+// PatchCampaign publishes campaign results as a fresh immutable Snapshot. It
+// is the single write point for campaign state: InstallCampaign and the
+// churn reconciler both end here. The inputs are complete structures — for a
+// row patch, the copy-on-write results of prefs.Store.PatchClients and
+// discovery.RTTTable.Patch — so the previous snapshot is never touched and
+// concurrent readers observe either it or the new one, never a mix.
+// staleRows carries the rows still awaiting repair, keyed to the generation
+// whose data they reflect; nil means every row is current.
 //
 // Writers must be externally serialized (internal/api holds a writer lock);
 // readers need no coordination.
-func (s *System) InstallCampaign(pred *predict.Predictor, rtt *discovery.RTTTable, annOrder []prefs.Item, experiments int, quarantined map[int]string) *Snapshot {
-	snap := &Snapshot{
-		TB:          s.TB,
-		Pred:        pred,
-		RTT:         rtt,
-		AnnOrder:    append([]prefs.Item(nil), annOrder...),
-		Gen:         s.gen.Add(1),
-		Experiments: experiments,
-		Quarantined: maps.Clone(quarantined),
-	}
-	s.Pred, s.RTT, s.AnnOrder = pred, rtt, snap.AnnOrder
-	s.snap.Store(snap)
-	return snap
-}
-
-// PatchCampaign publishes a row-patched successor of the current campaign as
-// a fresh immutable Snapshot — InstallCampaign's sibling write point, used by
-// the churn reconciler. The inputs are already-patched copy-on-write
-// structures (prefs.Store.PatchClients, discovery.RTTTable.Patch): the
-// previous snapshot is never touched, readers observe either it or the
-// complete successor. staleRows carries the rows still awaiting repair,
-// keyed to the generation whose data they reflect; nil means fully healed.
-//
-// Writers must be externally serialized exactly like InstallCampaign.
 func (s *System) PatchCampaign(pred *predict.Predictor, rtt *discovery.RTTTable, annOrder []prefs.Item, experiments int, quarantined map[int]string, staleRows map[prefs.Client]uint64) *Snapshot {
 	snap := &Snapshot{
 		TB:          s.TB,
@@ -239,7 +217,6 @@ func (s *System) PatchCampaign(pred *predict.Predictor, rtt *discovery.RTTTable,
 		Quarantined: maps.Clone(quarantined),
 		StaleRows:   maps.Clone(staleRows),
 	}
-	s.Pred, s.RTT, s.AnnOrder = pred, rtt, snap.AnnOrder
 	s.snap.Store(snap)
 	return snap
 }
@@ -340,7 +317,7 @@ type OptimizeResult struct {
 	// OrderableClients is the number of clients in the optimization.
 	OrderableClients int
 	// Evals and Moves are the anytime solver's counters (candidate moves
-	// evaluated, moves accepted); zero on the exact-solver paths.
+	// evaluated, moves accepted); zero when the exhaustive enumerator ran.
 	Evals int
 	Moves int
 }
@@ -348,7 +325,7 @@ type OptimizeResult struct {
 // Optimize searches for the lowest-predicted-latency configuration with
 // exactly k sites (k = 0 searches all sizes). maxSubsets bounds the
 // enumeration, mirroring the paper's offline time budget; 0 is unlimited.
-// Networks with more than 20 sites use local search automatically.
+// Networks with more than 20 sites use the anytime local search instead.
 func (s *System) Optimize(k, maxSubsets int) (OptimizeResult, error) {
 	snap, err := s.requireDiscovery()
 	if err != nil {
@@ -361,29 +338,7 @@ func (s *System) Optimize(k, maxSubsets int) (OptimizeResult, error) {
 // SPLPO instance is built fresh per call, so concurrent optimizations share
 // nothing but read-only campaign data.
 func (sn *Snapshot) Optimize(k, maxSubsets int) (OptimizeResult, error) {
-	in, clients := sn.Pred.BuildInstance(sn.AnnOrder)
-	opts := splpo.Options{ExactSize: k, MaxSubsets: maxSubsets}
-	var (
-		best      splpo.Assignment
-		evaluated int
-		err       error
-	)
-	if in.NumSites > 20 {
-		seed := uint64(1)<<uint(min(k, 20)) - 1
-		best, err = splpo.LocalSearch(in, seed, opts, 0)
-		evaluated = -1
-	} else {
-		best, evaluated, err = splpo.Exhaustive(in, opts)
-	}
-	if err != nil {
-		return OptimizeResult{}, fmt.Errorf("anyopt: optimize: %w", err)
-	}
-	return OptimizeResult{
-		Config:           sn.Pred.SubsetToConfig(best.Subset, sn.AnnOrder),
-		PredictedMean:    time.Duration(best.MeanCost * float64(time.Millisecond)),
-		SubsetsEvaluated: evaluated,
-		OrderableClients: len(clients),
-	}, nil
+	return sn.OptimizeWith(OptimizeOptions{K: k, MaxSubsets: maxSubsets})
 }
 
 // OptimizeExcluding is Optimize restricted to subsets that avoid the given
@@ -399,25 +354,7 @@ func (s *System) OptimizeExcluding(k, maxSubsets int, exclude ...int) (OptimizeR
 
 // OptimizeExcluding is System.OptimizeExcluding against this snapshot.
 func (sn *Snapshot) OptimizeExcluding(k, maxSubsets int, exclude ...int) (OptimizeResult, error) {
-	var forbidden uint64
-	for _, id := range exclude {
-		if id < 1 || id > len(sn.TB.Sites) {
-			return OptimizeResult{}, fmt.Errorf("anyopt: cannot exclude unknown site %d", id)
-		}
-		forbidden |= 1 << uint(id-1)
-	}
-	in, clients := sn.Pred.BuildInstance(sn.AnnOrder)
-	opts := splpo.Options{ExactSize: k, MaxSubsets: maxSubsets, ForbiddenMask: forbidden}
-	best, evaluated, err := splpo.Exhaustive(in, opts)
-	if err != nil {
-		return OptimizeResult{}, fmt.Errorf("anyopt: optimize excluding %v: %w", exclude, err)
-	}
-	return OptimizeResult{
-		Config:           sn.Pred.SubsetToConfig(best.Subset, sn.AnnOrder),
-		PredictedMean:    time.Duration(best.MeanCost * float64(time.Millisecond)),
-		SubsetsEvaluated: evaluated,
-		OrderableClients: len(clients),
-	}, nil
+	return sn.OptimizeWith(OptimizeOptions{K: k, MaxSubsets: maxSubsets, Exclude: exclude})
 }
 
 // OptimizeLoadAware is Optimize with the Appendix B extensions: loads
@@ -436,28 +373,7 @@ func (s *System) OptimizeLoadAware(k, maxSubsets int, loads map[Client]float64, 
 // OptimizeLoadAware is System.OptimizeLoadAware against this snapshot.
 func (sn *Snapshot) OptimizeLoadAware(k, maxSubsets int, loads map[Client]float64, caps map[int]float64) (OptimizeResult, error) {
 	in, clients := sn.Pred.BuildInstanceWeighted(sn.AnnOrder, loads, caps)
-	opts := splpo.Options{ExactSize: k, MaxSubsets: maxSubsets, RequireFeasible: true}
-	var (
-		best      splpo.Assignment
-		evaluated int
-		err       error
-	)
-	if in.NumSites > 20 {
-		seed := uint64(1)<<uint(min(max(k, 1), 20)) - 1
-		best, err = splpo.LocalSearch(in, seed, opts, 0)
-		evaluated = -1
-	} else {
-		best, evaluated, err = splpo.Exhaustive(in, opts)
-	}
-	if err != nil {
-		return OptimizeResult{}, fmt.Errorf("anyopt: load-aware optimize: %w", err)
-	}
-	return OptimizeResult{
-		Config:           sn.Pred.SubsetToConfig(best.Subset, sn.AnnOrder),
-		PredictedMean:    time.Duration(best.MeanCost * float64(time.Millisecond)),
-		SubsetsEvaluated: evaluated,
-		OrderableClients: len(clients),
-	}, nil
+	return sn.optimize(in, clients, OptimizeOptions{K: k, MaxSubsets: maxSubsets})
 }
 
 // PredictSiteLoads predicts the load each site absorbs under cfg, using the
@@ -502,35 +418,36 @@ func (sn *Snapshot) GreedyConfig(k int) (Config, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sn.Pred.SubsetToConfig(a.Subset, sn.AnnOrder), nil
+	return sn.Pred.SiteSetToConfig(splpo.SiteSetFromMask(in.NumSites, a.Subset), sn.AnnOrder), nil
 }
 
-// RandomConfig returns a uniformly random k-site configuration.
+// RandomConfig returns a uniformly random k-site configuration; k must be
+// in 1..number of sites.
 func (s *System) RandomConfig(k int, rng *rand.Rand) (Config, error) {
 	snap, err := s.requireDiscovery()
 	if err != nil {
 		return nil, err
 	}
-	ids := rng.Perm(len(s.TB.Sites))[:k]
-	var subset uint64
-	for _, i := range ids {
-		subset |= 1 << uint(i)
+	n := len(s.TB.Sites)
+	if k < 1 || k > n {
+		return nil, fmt.Errorf("anyopt: random configuration size %d outside 1..%d", k, n)
 	}
-	return snap.Pred.SubsetToConfig(subset, snap.AnnOrder), nil
+	open := splpo.NewSiteSet(n)
+	for _, i := range rng.Perm(n)[:k] {
+		open.Add(i)
+	}
+	return snap.Pred.SiteSetToConfig(open, snap.AnnOrder), nil
 }
 
-// AllSitesConfig returns the configuration enabling every site.
+// AllSitesConfig returns the configuration enabling every site, in the
+// current campaign's announcement order once one is published.
 func (s *System) AllSitesConfig() Config {
-	var subset uint64
-	for _, site := range s.TB.Sites {
-		subset |= 1 << uint(site.ID-1)
-	}
-	if s.Pred != nil {
-		return s.Pred.SubsetToConfig(subset, s.AnnOrder)
-	}
 	cfg := make(Config, len(s.TB.Sites))
 	for i, site := range s.TB.Sites {
 		cfg[i] = site.ID
+	}
+	if snap := s.CurrentSnapshot(); snap != nil {
+		return snap.Pred.SiteSetToConfig(predict.ConfigToSiteSet(len(cfg), cfg), snap.AnnOrder)
 	}
 	return cfg
 }

@@ -2,10 +2,13 @@ package anyopt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"anyopt/internal/core/predict"
+	"anyopt/internal/core/prefs"
+	"anyopt/internal/testbed"
 )
 
 // sharedSystem amortizes the discovery campaign across facade tests.
@@ -134,6 +137,66 @@ func TestAllSitesAndPeers(t *testing.T) {
 	}
 	if got := len(sys.AllPeerLinks()); got != 104 {
 		t.Errorf("peer links = %d, want 104", got)
+	}
+}
+
+// wideSystem deploys Table 1 five times over (75 sites, past the 64 a uint64
+// subset mask can hold) and publishes a campaign with empty preference
+// stores: enough for the configuration helpers, which read only the testbed
+// and the announcement order.
+func wideSystem(t *testing.T) *System {
+	t.Helper()
+	opts := DefaultOptions()
+	for i := 0; i < 5; i++ {
+		for _, s := range testbed.Table1 {
+			s.Peers = 0
+			opts.Testbed.Sites = append(opts.Testbed.Sites, s)
+		}
+	}
+	sys, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []prefs.Item
+	for _, p := range sys.TB.TransitProviders() {
+		order = append(order, prefs.Item(p))
+	}
+	sys.InstallCampaign(&predict.Predictor{TB: sys.TB}, nil, order, 0, nil)
+	return sys
+}
+
+// distinctSorted returns cfg's site IDs sorted, duplicates dropped.
+func distinctSorted(cfg Config) []int {
+	ids := slices.Clone(cfg)
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+func TestAllSitesConfigPast64Sites(t *testing.T) {
+	sys := wideSystem(t)
+	all := sys.AllSitesConfig()
+	if len(all) != 75 {
+		t.Fatalf("all-sites config has %d of 75 sites: %v", len(all), all)
+	}
+	if got := distinctSorted(all); len(got) != 75 || got[0] != 1 || got[74] != 75 {
+		t.Errorf("all-sites config is not sites 1..75: %v", all)
+	}
+}
+
+func TestRandomConfigPast64Sites(t *testing.T) {
+	sys := wideSystem(t)
+	rng := rand.New(rand.NewSource(3))
+	cfg, err := sys.RandomConfig(70, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cfg) != 70 || len(distinctSorted(cfg)) != 70 {
+		t.Errorf("random 70-site config has %d distinct sites: %v", len(cfg), cfg)
+	}
+	for _, k := range []int{-1, 0, 76} {
+		if cfg, err := sys.RandomConfig(k, rng); err == nil {
+			t.Errorf("RandomConfig(%d) = %v, want an error", k, cfg)
+		}
 	}
 }
 

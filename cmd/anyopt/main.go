@@ -214,11 +214,12 @@ func main() {
 		fmt.Printf("topology: %v\n", sys.Topo.ComputeStats())
 		fmt.Printf("experiments: %d BGP runs, %d probes, %v wall time\n",
 			sys.Experiments(), sys.Disc.ProbesSent, time.Since(start).Round(time.Millisecond))
-		order, frac := sys.Pred.Providers.BestAnnouncementOrder(7)
-		fmt.Printf("best announcement order: %v (%.1f%% of clients orderable)\n", order, 100*frac)
+		snap := sys.CurrentSnapshot()
+		fmt.Printf("best announcement order: %v (%.1f%% of clients orderable)\n",
+			snap.AnnOrder, 100*snap.Pred.Providers.FracWithTotalOrder(snap.AnnOrder))
 		tab := analysis.NewTable("per-site mean unicast RTT", "site", "name", "mean RTT")
 		for _, s := range sys.TB.Sites {
-			tab.AddRow(s.ID, s.Name, sys.RTT.MeanUnicast(s.ID))
+			tab.AddRow(s.ID, s.Name, snap.RTT.MeanUnicast(s.ID))
 		}
 		fmt.Print(tab)
 
@@ -245,7 +246,7 @@ func main() {
 		acc, overlap := predict.Accuracy(predicted, measured)
 		measMean, _ := predict.MeasuredMeanRTT(rtts)
 		fmt.Printf("config %v\n", cfg)
-		fmt.Printf("  predictable clients: %d (%.1f%%)\n", n, 100*sys.Pred.FracPredictable(cfg))
+		fmt.Printf("  predictable clients: %d (%.1f%%)\n", n, 100*sys.CurrentSnapshot().Pred.FracPredictable(cfg))
 		fmt.Printf("  catchment accuracy vs deployment: %.1f%% over %d clients\n", 100*acc, overlap)
 		fmt.Printf("  mean RTT: predicted %v, measured %v (rel err %.1f%%)\n",
 			predMean.Round(10*time.Microsecond), measMean.Round(10*time.Microsecond),
@@ -261,15 +262,9 @@ func main() {
 		if err := env.Discover(); err != nil {
 			log.Fatal(err)
 		}
-		var opt anyopt.OptimizeResult
-		var err error
-		if *timeBudget > 0 || *restarts > 1 {
-			opt, err = sys.OptimizeWith(anyopt.OptimizeOptions{
-				K: *k, MaxSubsets: *budget, TimeBudget: *timeBudget, Restarts: *restarts,
-			})
-		} else {
-			opt, err = sys.Optimize(*k, *budget)
-		}
+		opt, err := sys.OptimizeWith(anyopt.OptimizeOptions{
+			K: *k, MaxSubsets: *budget, TimeBudget: *timeBudget, Restarts: *restarts,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -325,49 +325,34 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "%v", err)
 		return
 	}
-	if evals, ok := body["solver_evals"].(int); ok {
-		s.metrics.solverEvals.Add(uint64(evals))
-		s.metrics.solverMoves.Add(uint64(body["solver_moves"].(int)))
-	}
+	s.metrics.solverEvals.Add(uint64(body["solver_evals"].(int)))
+	s.metrics.solverMoves.Add(uint64(body["solver_moves"].(int)))
 	writeJSON(w, http.StatusOK, body)
 }
 
 // optimizeResponse computes the /v1/optimize body against one snapshot; see
-// predictResponse for why it is split out. A positive timeBudgetMs routes
-// the request to the anytime solver (which also takes over automatically on
-// networks past the 63-site bitmask limit); the response then carries the
-// solver's eval/move counters.
+// predictResponse for why it is split out. The facade's optimize core picks
+// the solver: a positive timeBudgetMs, or a network too large to enumerate,
+// runs the anytime solver, whose eval/move counters the response carries
+// (zero when the exhaustive enumerator answered).
 func optimizeResponse(snap *anyopt.Snapshot, k, budget, timeBudgetMs int, exclude []int) (map[string]any, error) {
-	var res anyopt.OptimizeResult
-	var err error
-	anytime := timeBudgetMs > 0 || len(snap.TB.Sites) > 63
-	switch {
-	case anytime:
-		res, err = snap.OptimizeWith(anyopt.OptimizeOptions{
-			K:          k,
-			MaxSubsets: budget,
-			Exclude:    exclude,
-			TimeBudget: time.Duration(timeBudgetMs) * time.Millisecond,
-		})
-	case len(exclude) > 0:
-		res, err = snap.OptimizeExcluding(k, budget, exclude...)
-	default:
-		res, err = snap.Optimize(k, budget)
-	}
+	res, err := snap.OptimizeWith(anyopt.OptimizeOptions{
+		K:          k,
+		MaxSubsets: budget,
+		Exclude:    exclude,
+		TimeBudget: time.Duration(timeBudgetMs) * time.Millisecond,
+	})
 	if err != nil {
 		return nil, err
 	}
-	body := map[string]any{
+	return map[string]any{
 		"config":            res.Config,
 		"predicted_mean_ms": float64(res.PredictedMean) / 1e6,
 		"subsets":           res.SubsetsEvaluated,
 		"orderable_clients": res.OrderableClients,
-	}
-	if anytime {
-		body["solver_evals"] = res.Evals
-		body["solver_moves"] = res.Moves
-	}
-	return body, nil
+		"solver_evals":      res.Evals,
+		"solver_moves":      res.Moves,
+	}, nil
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {

@@ -84,13 +84,15 @@ func TestBuildInstanceWeighted(t *testing.T) {
 	}
 }
 
-func TestSubsetToConfigRoundTrip(t *testing.T) {
+func TestSiteSetToConfigRoundTrip(t *testing.T) {
 	pl := getPipeline(t)
 	annProv, _ := pl.pred.Providers.BestAnnouncementOrder(6)
+	n := len(pl.tb.Sites)
 	for _, subset := range []uint64{0b1, 0b101010101, 0b111111111111111} {
-		cfg := pl.pred.SubsetToConfig(subset, annProv)
-		if got := ConfigToSubset(cfg); got != subset {
-			t.Errorf("subset %b → config %v → %b", subset, cfg, got)
+		open := splpo.SiteSetFromMask(n, subset)
+		cfg := pl.pred.SiteSetToConfig(open, annProv)
+		if got := ConfigToSiteSet(n, cfg); !got.Equal(open) {
+			t.Errorf("subset %v → config %v → %v", open, cfg, got)
 		}
 		// Sites of the same provider must be adjacent in the config.
 		lastProv := map[int64]int{}
@@ -110,7 +112,7 @@ func TestRankingPrefixStability(t *testing.T) {
 	// Catchment must never disagree.
 	pl := getPipeline(t)
 	annProv, _ := pl.pred.Providers.BestAnnouncementOrder(6)
-	all := pl.pred.SubsetToConfig(1<<15-1, annProv)
+	all := pl.pred.SiteSetToConfig(splpo.SiteSetFromMask(len(pl.tb.Sites), 1<<15-1), annProv)
 	checked := 0
 	for _, c := range pl.pred.Providers.Clients() {
 		ranking, ok := pl.pred.Ranking(c, annProv)

@@ -50,16 +50,15 @@ func getPipeline(t *testing.T) *pipeline {
 // randomConfig picks a random subset of sites (size between 2 and 14) in a
 // provider-grouped announcement order.
 func randomConfig(p *Predictor, rng *rand.Rand, size int) Config {
-	ids := rng.Perm(len(p.TB.Sites))[:size]
-	subset := uint64(0)
-	for _, i := range ids {
-		subset |= 1 << uint(i)
+	open := splpo.NewSiteSet(len(p.TB.Sites))
+	for _, i := range rng.Perm(len(p.TB.Sites))[:size] {
+		open.Add(i)
 	}
 	annProv := make([]prefs.Item, 0)
 	for _, prov := range p.TB.TransitProviders() {
 		annProv = append(annProv, prefs.Item(prov))
 	}
-	return p.SubsetToConfig(subset, annProv)
+	return p.SiteSetToConfig(open, annProv)
 }
 
 func TestCatchmentPredictionAccuracy(t *testing.T) {
@@ -213,7 +212,7 @@ func TestBuildInstanceAndOptimize(t *testing.T) {
 	}
 
 	const k = 4
-	best, _, err := splpo.Exhaustive(in, splpo.Options{ExactSize: k})
+	best, _, err := splpo.Exhaustive(in, splpo.SearchOptions{ExactSize: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +236,13 @@ func TestBuildInstanceAndOptimize(t *testing.T) {
 
 	// The optimized config must also deploy well: measured mean RTT within
 	// 25% of the predicted optimum.
-	cfg := pl.pred.SubsetToConfig(best.Subset, annProv)
+	open := splpo.SiteSetFromMask(len(pl.tb.Sites), best.Subset)
+	cfg := pl.pred.SiteSetToConfig(open, annProv)
 	if len(cfg) != k {
-		t.Fatalf("SubsetToConfig returned %v", cfg)
+		t.Fatalf("SiteSetToConfig returned %v", cfg)
 	}
-	if got := ConfigToSubset(cfg); got != best.Subset {
-		t.Fatalf("ConfigToSubset mismatch: %b vs %b", got, best.Subset)
+	if got := ConfigToSiteSet(len(pl.tb.Sites), cfg); !got.Equal(open) {
+		t.Fatalf("ConfigToSiteSet mismatch: %v vs %v", got, open)
 	}
 	_, rtts := pl.disc.RunConfigurationRTTs(cfg)
 	meas, _ := MeasuredMeanRTT(rtts)

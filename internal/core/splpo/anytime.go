@@ -30,12 +30,18 @@ import (
 // optimum many times over, small enough to stay interactive at 5k sites.
 const DefaultSearchWork = 20_000_000
 
-// SearchOptions bounds one anytime local-search run. The zero value is
-// usable: free subset size, no constraints, seed 1, DefaultSearchWork.
+// SearchOptions bounds one solver run: an anytime local search, or an
+// Exhaustive enumeration (which reads only ExactSize, MaxSubsets,
+// RequireFeasible, and Forbidden). The zero value is usable: free subset
+// size, no constraints, seed 1, DefaultSearchWork.
 type SearchOptions struct {
 	// ExactSize restricts to configurations with exactly this many open
 	// sites (0 = any size).
 	ExactSize int
+	// MaxSubsets bounds how many subsets Exhaustive evaluates — the paper's
+	// offline time budget (0 = unlimited). The anytime search ignores it;
+	// its budgets are MaxWork, MaxMoves, and Stop.
+	MaxSubsets int
 	// RequireFeasible makes only feasible configurations (every client
 	// served, no cap exceeded) acceptable as results.
 	RequireFeasible bool

@@ -3,7 +3,7 @@ package splpo
 // Head-to-head solver benchmarks at the three scales the repo targets:
 // the paper's 15-site testbed, the §4.5 Akamai-scale 500 sites, and the
 // ROADMAP's internet-scale 5k sites. The baseline at scale is the shape of
-// the pre-existing LocalSearch generalized past 64 sites: first-improvement
+// a bitmask local search generalized past 64 sites: first-improvement
 // swap search where every candidate pays a full EvaluateSet over all
 // clients. The anytime solver replaces that full re-evaluation with
 // journaled delta moves; these benches record both wall-clock and
@@ -31,17 +31,7 @@ func BenchmarkSolver15Exhaustive(b *testing.B) {
 	in := bench15Instance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Exhaustive(in, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSolver15OldLocalSearch(b *testing.B) {
-	in := bench15Instance()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LocalSearch(in, 0x7FFF, Options{}, 1); err != nil {
+		if _, _, err := Exhaustive(in, SearchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,7 +42,7 @@ func BenchmarkSolver15OldLocalSearch(b *testing.B) {
 // mean-gap-ms metric records the distance — expected 0).
 func BenchmarkSolver15Anytime(b *testing.B) {
 	in := bench15Instance()
-	want, _, err := Exhaustive(in, Options{})
+	want, _, err := Exhaustive(in, SearchOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +58,7 @@ func BenchmarkSolver15Anytime(b *testing.B) {
 	b.ReportMetric(float64(res.Work), "clienttouches/op")
 }
 
-// swapFullReevalToFeasible is the generalized old-LocalSearch baseline:
+// swapFullReevalToFeasible is the generalized bitmask local-search baseline:
 // first-improvement add/drop/swap search over a SiteSet where every
 // candidate is priced by a full EvaluateSet pass over all clients. It runs
 // until it finds a feasible (all-served) configuration of exactly k sites,

@@ -89,11 +89,8 @@ func TestBitmaskSolversRejectLargeInstances(t *testing.T) {
 	if err := in.Validate(); err != nil {
 		t.Fatalf("64-site instance must validate: %v", err)
 	}
-	if _, _, err := Exhaustive(in, Options{}); err == nil {
+	if _, _, err := Exhaustive(in, SearchOptions{}); err == nil {
 		t.Error("Exhaustive accepted a 64-site instance")
-	}
-	if _, err := LocalSearch(in, 1, Options{}, 0); err == nil {
-		t.Error("LocalSearch accepted a 64-site instance")
 	}
 	if _, err := GreedyByCost(in, 2); err == nil {
 		t.Error("GreedyByCost accepted a 64-site instance")
@@ -281,7 +278,7 @@ func TestDeltaEvalPatchRejectsShapeChange(t *testing.T) {
 
 // TestSearchMatchesExhaustive pins the anytime solver to the proven optimum
 // on paper-scale instances, across the constraint surface: free size,
-// ExactSize, ForbiddenMask, and RequireFeasible with caps.
+// ExactSize, Forbidden, and RequireFeasible with caps.
 func TestSearchMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	pool := exec.New(4)
@@ -290,16 +287,12 @@ func TestSearchMatchesExhaustive(t *testing.T) {
 		nSites := 6 + rng.Intn(10) // 6..15
 		in := randomInstance(rng, nSites, 20+rng.Intn(30))
 		mode := trial % 4
-		opts := Options{}
-		sopts := SearchOptions{Seed: int64(trial + 1)}
+		opts := SearchOptions{Seed: int64(trial + 1)}
 		switch mode {
 		case 1:
 			opts.ExactSize = 1 + rng.Intn(nSites-2)
-			sopts.ExactSize = opts.ExactSize
 		case 2:
-			forbidden := rng.Intn(nSites)
-			opts.ForbiddenMask = 1 << uint(forbidden)
-			sopts.Forbidden = SiteSetOf(nSites, forbidden)
+			opts.Forbidden = SiteSetOf(nSites, rng.Intn(nSites))
 		case 3:
 			// Capacitate: per-site cap at half the client count, feasible
 			// with enough sites open.
@@ -308,13 +301,12 @@ func TestSearchMatchesExhaustive(t *testing.T) {
 				in.Cap[s] = float64(len(in.Clients)) / 2
 			}
 			opts.RequireFeasible = true
-			sopts.RequireFeasible = true
 		}
 		want, _, err := Exhaustive(in, opts)
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
-		got, err := SearchParallel(in, sopts, 4, pool)
+		got, err := SearchParallel(in, opts, 4, pool)
 		if err != nil {
 			t.Fatalf("trial %d (mode %d): search: %v", trial, mode, err)
 		}
@@ -421,7 +413,7 @@ func TestWarmReoptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFirst, _, err := Exhaustive(in, Options{})
+	wantFirst, _, err := Exhaustive(in, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +439,7 @@ func TestWarmReoptimize(t *testing.T) {
 	if res.Patched != 3 {
 		t.Errorf("patched %d clients, want 3", res.Patched)
 	}
-	want, _, err := Exhaustive(next, Options{})
+	want, _, err := Exhaustive(next, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

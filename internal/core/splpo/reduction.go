@@ -58,7 +58,7 @@ func ReduceDominatingSet(g Graph) *Instance {
 // assignment opening exactly k+1 sites (i.e., g has a dominating set of size
 // ≤ k). It enumerates exhaustively, so use small graphs.
 func HasZeroCostSolution(in *Instance, kPlusOne int) bool {
-	a, _, err := Exhaustive(in, Options{ExactSize: kPlusOne})
+	a, _, err := Exhaustive(in, SearchOptions{ExactSize: kPlusOne})
 	if err != nil {
 		return false
 	}

@@ -101,7 +101,7 @@ func TestEvaluateWeights(t *testing.T) {
 
 func TestExhaustiveFindsOptimum(t *testing.T) {
 	in := tinyInstance()
-	best, evaluated, err := Exhaustive(in, Options{})
+	best, evaluated, err := Exhaustive(in, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestExhaustiveFindsOptimum(t *testing.T) {
 
 func TestExhaustiveExactSize(t *testing.T) {
 	in := tinyInstance()
-	best, evaluated, err := Exhaustive(in, Options{ExactSize: 2})
+	best, evaluated, err := Exhaustive(in, SearchOptions{ExactSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestExhaustiveExactSize(t *testing.T) {
 
 func TestExhaustiveBudget(t *testing.T) {
 	in := tinyInstance()
-	_, evaluated, err := Exhaustive(in, Options{MaxSubsets: 3})
+	_, evaluated, err := Exhaustive(in, SearchOptions{MaxSubsets: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestExhaustiveBudget(t *testing.T) {
 
 func TestExhaustiveInfeasibleInstance(t *testing.T) {
 	in := &Instance{NumSites: 1, Clients: []Client{{Ranking: nil, Cost: []float64{1}}}}
-	_, _, err := Exhaustive(in, Options{RequireFeasible: true})
+	_, _, err := Exhaustive(in, SearchOptions{RequireFeasible: true})
 	if err == nil {
 		t.Error("instance with unservable client solved")
 	}
@@ -192,7 +192,7 @@ func TestGreedyByCost(t *testing.T) {
 	if g2.TotalCost != 80 {
 		t.Errorf("greedy 2-site total = %v, want 80 (preference-blind)", g2.TotalCost)
 	}
-	best, _, _ := Exhaustive(in, Options{ExactSize: 2})
+	best, _, _ := Exhaustive(in, SearchOptions{ExactSize: 2})
 	if best.TotalCost >= g2.TotalCost {
 		t.Errorf("exhaustive (%v) should beat greedy (%v)", best.TotalCost, g2.TotalCost)
 	}
@@ -220,15 +220,15 @@ func TestRandomAndBestRandom(t *testing.T) {
 	}
 }
 
-func TestLocalSearchReachesOptimumOnSmallInstances(t *testing.T) {
+func TestSearchReachesOptimumOnSmallInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		in := randomInstance(rng, 8, 40)
-		opt, _, err := Exhaustive(in, Options{})
+		opt, _, err := Exhaustive(in, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls, err := LocalSearch(in, 1, Options{}, 0)
+		ls, err := Search(in, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,15 +243,15 @@ func TestLocalSearchReachesOptimumOnSmallInstances(t *testing.T) {
 	}
 }
 
-func TestLocalSearchExactSize(t *testing.T) {
+func TestSearchExactSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	in := randomInstance(rng, 10, 60)
-	a, err := LocalSearch(in, 0b11, Options{ExactSize: 2}, 0)
+	a, err := Search(in, SearchOptions{ExactSize: 2, Initial: SiteSetOf(10, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bits.OnesCount64(a.Subset) != 2 {
-		t.Errorf("exact-size local search returned %d sites", bits.OnesCount64(a.Subset))
+	if a.Open.Count() != 2 {
+		t.Errorf("exact-size local search returned %d sites", a.Open.Count())
 	}
 }
 
@@ -340,16 +340,16 @@ func BenchmarkExhaustive15Sites(b *testing.B) {
 	in := randomInstance(rng, 15, 300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Exhaustive(in, Options{}); err != nil {
+		if _, _, err := Exhaustive(in, SearchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func TestForbiddenMask(t *testing.T) {
+func TestForbiddenSites(t *testing.T) {
 	in := tinyInstance()
 	// Forbid site 0: the optimum must avoid it.
-	best, evaluated, err := Exhaustive(in, Options{ForbiddenMask: 0b001})
+	best, evaluated, err := Exhaustive(in, SearchOptions{Forbidden: SiteSetOf(3, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,19 +359,19 @@ func TestForbiddenMask(t *testing.T) {
 	if evaluated != 3 { // subsets over sites {1,2}: 010, 100, 110
 		t.Errorf("evaluated %d subsets, want 3", evaluated)
 	}
-	// Local search must also respect the mask, even with a seed inside it.
-	ls, err := LocalSearch(in, 0b001, Options{ForbiddenMask: 0b001}, 0)
+	// Local search must also respect it, even when seeded inside it.
+	ls, err := Search(in, SearchOptions{Forbidden: SiteSetOf(3, 0), Initial: SiteSetOf(3, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ls.Subset&0b001 != 0 {
-		t.Fatalf("local search %b uses a forbidden site", ls.Subset)
+	if ls.Open.Has(0) {
+		t.Fatalf("local search %v uses a forbidden site", ls.Open)
 	}
 	// Everything forbidden is an error.
-	if _, err := LocalSearch(in, 1, Options{ForbiddenMask: 0b111}, 0); err == nil {
+	if _, err := Search(in, SearchOptions{Forbidden: SiteSetOf(3, 0, 1, 2)}); err == nil {
 		t.Error("all-forbidden local search succeeded")
 	}
-	if _, _, err := Exhaustive(in, Options{ForbiddenMask: 0b111}); err == nil {
+	if _, _, err := Exhaustive(in, SearchOptions{Forbidden: SiteSetOf(3, 0, 1, 2)}); err == nil {
 		t.Error("all-forbidden exhaustive succeeded")
 	}
 }

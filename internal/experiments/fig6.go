@@ -148,10 +148,8 @@ func (e *Env) twoByTwoConfig(rng *rand.Rand) anyopt.Config {
 		}
 	}
 	// Re-order to the global announcement order for deployability.
-	if e.Sys.Pred != nil {
-		return e.Sys.Pred.SubsetToConfig(predict.ConfigToSubset(cfg), e.annOrder())
+	if snap := e.Sys.CurrentSnapshot(); snap != nil {
+		return snap.Pred.SiteSetToConfig(predict.ConfigToSiteSet(len(tb.Sites), cfg), snap.AnnOrder)
 	}
 	return cfg
 }
-
-func (e *Env) annOrder() []prefs.Item { return e.Sys.AnnOrder }

@@ -223,14 +223,15 @@ func (e *Env) AblationRTTHeuristic() (AblationResult, error) {
 	if err := e.Discover(); err != nil {
 		return AblationResult{}, err
 	}
+	snap := e.Sys.CurrentSnapshot()
 	heur := &predict.Predictor{
 		TB:              e.Sys.TB,
-		Providers:       e.Sys.Pred.Providers,
-		RTT:             e.Sys.RTT,
+		Providers:       snap.Pred.Providers,
+		RTT:             snap.RTT,
 		UseRTTHeuristic: true,
 	}
 	cfg := e.Sys.AllSitesConfig()
-	a := e.Sys.Pred.All(cfg)
+	a := snap.Pred.All(cfg)
 	b := heur.All(cfg)
 	same, n := 0, 0
 	for c, s := range a {
@@ -255,15 +256,16 @@ func (e *Env) AblationSolvers(k int) (AblationResult, error) {
 	if err := e.Discover(); err != nil {
 		return AblationResult{}, err
 	}
-	in, _ := e.Sys.Pred.BuildInstance(e.Sys.AnnOrder)
+	snap := e.Sys.CurrentSnapshot()
+	in, _ := snap.Pred.BuildInstance(snap.AnnOrder)
 	start := time.Now()
-	exact, evaluated, err := splpo.Exhaustive(in, splpo.Options{ExactSize: k})
+	exact, evaluated, err := splpo.Exhaustive(in, splpo.SearchOptions{ExactSize: k})
 	if err != nil {
 		return AblationResult{}, err
 	}
 	exactTime := time.Since(start)
 	start = time.Now()
-	ls, err := splpo.LocalSearch(in, uint64(1)<<uint(k)-1, splpo.Options{ExactSize: k}, 0)
+	ls, err := splpo.Search(in, splpo.SearchOptions{ExactSize: k})
 	if err != nil {
 		return AblationResult{}, err
 	}

@@ -61,9 +61,6 @@ func classDraws(inj *Injector, links []topology.LinkID, burn map[string]int) map
 	for i := 0; i < burn["probe"]; i++ {
 		inj.DropProbe()
 	}
-	for i := 0; i < burn["session"]; i++ {
-		inj.ResetSession(1)
-	}
 	out := map[string]any{}
 	if burn["plan"] == 0 {
 		out["plan"] = inj.FlapPlan(links)
@@ -76,19 +73,15 @@ func classDraws(inj *Injector, links []topology.LinkID, burn map[string]int) map
 		}
 		upd = append(upd, extra)
 	}
-	var probe, sess []bool
+	var probe []bool
 	for i := 0; i < 300; i++ {
 		probe = append(probe, inj.DropProbe())
-		sess = append(sess, inj.ResetSession(i%15+1))
 	}
 	if burn["update"] == 0 {
 		out["update"] = upd
 	}
 	if burn["probe"] == 0 {
 		out["probe"] = probe
-	}
-	if burn["session"] == 0 {
-		out["session"] = sess
 	}
 	return out
 }
@@ -99,7 +92,7 @@ func TestClassStreamIndependence(t *testing.T) {
 	cfg := harsh(t, 5)
 	links := []topology.LinkID{3, 8, 13, 21}
 	base := classDraws(cfg.Injector(4, 0, nil), links, nil)
-	for _, class := range []string{"update", "probe", "session", "plan"} {
+	for _, class := range []string{"update", "probe", "plan"} {
 		burn := map[string]int{class: 97}
 		if class == "plan" {
 			// FlapPlan is drawn once per attempt; skipping it is the burn.

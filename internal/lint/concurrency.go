@@ -12,7 +12,7 @@ import (
 // goroutine is concurrency the snapshot model does not account for.
 // Parallelism routes through internal/exec's worker pool, which assigns all
 // inputs before any work is scheduled; background work belongs to the
-// explicit owners (exec, bgp/speaker, orchestrator, api).
+// explicit owners (exec, api).
 func checkNoGo(pkg *Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range pkg.Files {

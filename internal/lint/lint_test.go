@@ -161,7 +161,7 @@ func TestBareDirectiveRejected(t *testing.T) {
 }
 
 // TestPolicyResolution pins the table semantics: longest pattern wins, the
-// speaker keeps its goroutines, and unmatched paths get no checks.
+// worker pool keeps its goroutines, and unmatched paths get no checks.
 func TestPolicyResolution(t *testing.T) {
 	cases := []struct {
 		path string
@@ -171,7 +171,6 @@ func TestPolicyResolution(t *testing.T) {
 		{"anyopt/internal/analysis", baseline},
 		{"anyopt/internal/bgp", simPure},
 		{"anyopt/internal/bgp/wire", simPure},
-		{"anyopt/internal/bgp/speaker", goOwner},
 		{"anyopt/internal/bgp/invariant", simPure},
 		{"anyopt/internal/netsim", simPure},
 		{"anyopt/internal/topology", sim},
@@ -182,7 +181,6 @@ func TestPolicyResolution(t *testing.T) {
 		{"anyopt/internal/lazyrand", sim},
 		{"anyopt/internal/fault", sim},
 		{"anyopt/internal/exec", goOwner},
-		{"anyopt/internal/orchestrator", goOwner},
 		{"anyopt/internal/api", goOwner},
 		{"anyopt/cmd/anyopt", baseline},
 		{"anyopt/cmd/anyoptd", baseline},

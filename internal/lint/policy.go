@@ -30,10 +30,9 @@ type PolicyRule struct {
 var baseline = Policy{MapOrder: true, CopyLocks: true, NoGo: true, SnapImmut: true, AtomicUse: true}
 
 // goOwner relaxes baseline for the sanctioned goroutine owners: the worker
-// pool itself, the real-network BGP speaker (hold timers over TCP), the
-// orchestrator's concurrent servers, and the API's async discovery job
-// runner. The mutation-invariant tier stays on — goroutine owners are
-// exactly where a stray snapshot write would race.
+// pool itself and the API's async discovery job runner. The
+// mutation-invariant tier stays on — goroutine owners are exactly where a
+// stray snapshot write would race.
 var goOwner = Policy{MapOrder: true, CopyLocks: true, SnapImmut: true, AtomicUse: true}
 
 // sim is the full determinism contract for simulator packages: everything in
@@ -101,20 +100,11 @@ var DefaultPolicies = []PolicyRule{
 	// (seed, nonce, attempt).
 	{"anyopt/internal/fault", sim},
 
-	// The real-network BGP speaker runs hold timers and read deadlines over
-	// TCP sessions; wall clock and goroutines are inherent to it. It still
-	// gets the map-order and copylocks checks.
-	{"anyopt/internal/bgp/speaker", goOwner},
-
 	// The worker pool is the canonical goroutine owner; it is also outside
 	// the sim's entropy contract (it reads only worker counts) — and it is
 	// where retry/timeout sleeps live, since sim packages cannot call
 	// time.Sleep.
 	{"anyopt/internal/exec", goOwner},
-
-	// The orchestrator serves concurrent measurement agents over real
-	// sockets.
-	{"anyopt/internal/orchestrator", goOwner},
 
 	// The HTTP API runs async discovery jobs in the background so campaigns
 	// never block the lock-free read path; the job runner is its goroutine.

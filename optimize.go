@@ -1,11 +1,14 @@
 package anyopt
 
-// Anytime optimization facade: routes configuration search to the right
-// SPLPO solver. Paper-scale testbeds (≤63 sites) keep the exact bitmask
-// solvers; larger networks — or any caller with a wall-clock budget — use
-// the anytime link-guided local search, optionally as parallel multi-start
-// through internal/exec. Warm-restart re-optimization across campaign
-// snapshots lives here too, keyed to the snapshot generation counter.
+// The optimize core: every optimize entry point (Optimize,
+// OptimizeExcluding, OptimizeLoadAware, OptimizeWith, and through them the
+// /v1/optimize handler) builds its SPLPO instance and hands it to one
+// function, which picks the solver. Without a wall-clock budget, testbeds of
+// up to exhaustiveSites sites are enumerated exactly; larger networks, or
+// any caller with a TimeBudget, run the anytime link-guided local search,
+// optionally as parallel multi-start through internal/exec. Warm-restart
+// re-optimization across campaign snapshots lives here too, keyed to the
+// snapshot generation counter.
 
 import (
 	"fmt"
@@ -15,22 +18,26 @@ import (
 	"anyopt/internal/exec"
 )
 
+// exhaustiveSites is the largest testbed the optimize core enumerates
+// exactly when no TimeBudget is set. Each site past the paper's 15 doubles
+// the enumeration; past this size the anytime solver answers instead.
+const exhaustiveSites = 20
+
 // OptimizeOptions configures OptimizeWith.
 type OptimizeOptions struct {
 	// K restricts the search to exactly K open sites (0 = any size).
 	K int
-	// MaxSubsets bounds the exhaustive enumeration on bitmask-scale
-	// networks (0 = unlimited). Ignored by the anytime solver, whose budget
-	// is TimeBudget.
+	// MaxSubsets bounds the exhaustive enumeration (0 = unlimited). Ignored
+	// by the anytime solver, whose budget is TimeBudget.
 	MaxSubsets int
 	// Exclude lists site IDs the configuration must avoid.
 	Exclude []int
 	// TimeBudget, when positive, runs the anytime solver under a wall-clock
-	// deadline even on bitmask-scale networks — the operational "give me the
-	// best configuration you can find in 200ms" knob. Zero keeps the exact
-	// solvers on small networks; networks past 63 sites always use the
-	// anytime solver (with a generous default work budget when no deadline
-	// is set).
+	// deadline even on small networks — the operational "give me the best
+	// configuration you can find in 200ms" knob. Zero keeps the exhaustive
+	// enumerator on networks of up to 20 sites; larger networks always use
+	// the anytime solver (with a generous default work budget when no
+	// deadline is set).
 	TimeBudget time.Duration
 	// Restarts is the number of parallel multi-start runs for the anytime
 	// solver (0 = 1, serial).
@@ -46,29 +53,43 @@ type OptimizeOptions struct {
 // against this snapshot's frozen campaign under the given options.
 func (sn *Snapshot) OptimizeWith(o OptimizeOptions) (OptimizeResult, error) {
 	in, clients := sn.Pred.BuildInstance(sn.AnnOrder)
-	if o.TimeBudget <= 0 && in.NumSites <= 63 {
-		if len(o.Exclude) > 0 {
-			return sn.OptimizeExcluding(o.K, o.MaxSubsets, o.Exclude...)
-		}
-		return sn.Optimize(o.K, o.MaxSubsets)
-	}
+	return sn.optimize(in, clients, o)
+}
+
+// optimize is the optimize core: it runs the solver the instance size and
+// options call for and maps the answer back to a deployable configuration.
+func (sn *Snapshot) optimize(in *splpo.Instance, clients []Client, o OptimizeOptions) (OptimizeResult, error) {
 	sopts, err := sn.searchOptions(in, o)
 	if err != nil {
 		return OptimizeResult{}, err
 	}
-	var (
-		res splpo.Result
-	)
-	if o.Restarts > 1 {
+	var res splpo.Result
+	evaluated := 0
+	exhaustive := o.TimeBudget <= 0 && in.NumSites <= exhaustiveSites
+	switch {
+	case exhaustive:
+		var best splpo.Assignment
+		best, evaluated, err = splpo.Exhaustive(in, sopts)
+		res.Open, res.MeanCost = splpo.SiteSetFromMask(in.NumSites, best.Subset), best.MeanCost
+	case o.Restarts > 1:
 		pool := exec.New(o.Workers)
 		defer pool.Close()
 		res, err = splpo.SearchParallel(in, sopts, o.Restarts, pool)
-	} else {
+	default:
 		res, err = splpo.Search(in, sopts)
 	}
 	if err != nil {
 		return OptimizeResult{}, fmt.Errorf("anyopt: optimize: %w", err)
 	}
+	out := sn.result(res, clients)
+	if exhaustive {
+		out.SubsetsEvaluated = evaluated
+	}
+	return out, nil
+}
+
+// result maps a solver answer back to a deployable configuration.
+func (sn *Snapshot) result(res splpo.Result, clients []Client) OptimizeResult {
 	return OptimizeResult{
 		Config:           sn.Pred.SiteSetToConfig(res.Open, sn.AnnOrder),
 		PredictedMean:    time.Duration(res.MeanCost * float64(time.Millisecond)),
@@ -76,7 +97,7 @@ func (sn *Snapshot) OptimizeWith(o OptimizeOptions) (OptimizeResult, error) {
 		OrderableClients: len(clients),
 		Evals:            res.Evals,
 		Moves:            res.Moves,
-	}, nil
+	}
 }
 
 // searchOptions translates facade options into solver options, attaching a
@@ -85,6 +106,7 @@ func (sn *Snapshot) OptimizeWith(o OptimizeOptions) (OptimizeResult, error) {
 func (sn *Snapshot) searchOptions(in *splpo.Instance, o OptimizeOptions) (splpo.SearchOptions, error) {
 	sopts := splpo.SearchOptions{
 		ExactSize:       o.K,
+		MaxSubsets:      o.MaxSubsets,
 		RequireFeasible: in.Cap != nil,
 		Seed:            o.Seed,
 	}
@@ -177,14 +199,7 @@ func (w *WarmOptimizer) Reoptimize(sn *Snapshot, o OptimizeOptions) (OptimizeRes
 		return OptimizeResult{}, splpo.Result{}, fmt.Errorf("anyopt: warm reoptimize: %w", err)
 	}
 	w.in, w.clients, w.gen = in, clients, sn.Gen
-	return OptimizeResult{
-		Config:           sn.Pred.SiteSetToConfig(res.Open, sn.AnnOrder),
-		PredictedMean:    time.Duration(res.MeanCost * float64(time.Millisecond)),
-		SubsetsEvaluated: res.Evals,
-		OrderableClients: len(clients),
-		Evals:            res.Evals,
-		Moves:            res.Moves,
-	}, res, nil
+	return sn.result(res, clients), res, nil
 }
 
 // diffInstances returns the rows of next whose ranking, costs, weight, or
